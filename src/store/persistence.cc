@@ -1,5 +1,6 @@
 #include "store/persistence.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,9 +65,17 @@ class Writer {
   bool ok_ = true;
 };
 
+// File reader with a running CRC32C. Counts and lengths read from the
+// file are untrusted, so it tracks how many bytes the file has left:
+// no allocation it drives may exceed what is actually there.
 class Reader {
  public:
-  explicit Reader(std::FILE* f) : f_(f) {}
+  explicit Reader(std::FILE* f) : f_(f) {
+    struct stat st;
+    if (::fstat(::fileno(f), &st) == 0) {
+      remaining_ = static_cast<uint64_t>(st.st_size);
+    }
+  }
 
   bool U8(uint8_t* v) { return Raw(v, 1); }
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
@@ -74,15 +83,20 @@ class Reader {
   bool Str(std::string* s) {
     uint32_t n;
     if (!U32(&n)) return false;
-    if (n > kMaxRecordBytes) return false;  // corrupt length guard
+    // Corrupt length guards: a string cannot outrun the file.
+    if (n > kMaxRecordBytes || n > remaining_) return false;
     s->resize(n);
     return n == 0 || Raw(s->data(), n);
   }
   bool Raw(void* data, size_t n) {
     if (std::fread(data, 1, n, f_) != n) return false;
     crc_ = Crc32cExtend(crc_, data, n);
+    remaining_ -= std::min<uint64_t>(n, remaining_);
     return true;
   }
+  // Bytes between the read position and the end of the file (as sized
+  // at open).
+  uint64_t remaining() const { return remaining_; }
   // Reads the stored trailer checksum and compares it to the running
   // sum accumulated so far.
   bool Trailer() {
@@ -103,6 +117,7 @@ class Reader {
  private:
   std::FILE* f_;
   uint32_t crc_ = 0;
+  uint64_t remaining_ = 0;
 };
 
 // In-memory record encoder: a WAL record is staged in full, then
@@ -349,7 +364,11 @@ Status LoadSnapshot(const std::string& path, FactStore* store,
   uint32_t entity_count;
   if (!r.U32(&entity_count)) return Status::DataLoss("truncated snapshot");
   EntityTable& entities = store->entities();
-  entities.Reserve(entity_count);
+  // Each entity record is at least a kind byte and a name length, so
+  // the rest of the file bounds how many a corrupt count can promise.
+  constexpr uint64_t kMinEntityRecordBytes = 1 + 4;
+  entities.Reserve(static_cast<size_t>(std::min<uint64_t>(
+      entity_count, r.remaining() / kMinEntityRecordBytes)));
   for (uint32_t i = 0; i < entity_count; ++i) {
     uint8_t kind;
     std::string name;
@@ -920,7 +939,9 @@ Status Wal::Replay(const std::string& base, FactStore* store,
       std::string payload;
       if (n != 4 || std::fread(&crc, 1, 4, f.get()) != 4) {
         torn = true;  // torn inside the record header
-      } else if (len > kMaxRecordBytes) {
+      } else if (len > kMaxRecordBytes ||
+                 len > size - std::min<uint64_t>(size, good_offset + 8)) {
+        // No payload allocation may outrun the bytes left in the segment.
         bad_record_reason = "implausible record length";
         torn = true;
       } else {

@@ -216,15 +216,20 @@ TEST(GovernanceShedTest, DegradedShedsExpensiveKeepsCheap) {
   EXPECT_TRUE(session->Execute("session").ok());
 
   // Leaving DEGRADED restores the expensive query's right to run (and
-  // to be killed by its own deadline instead).
+  // to be killed by its own deadline instead). The deadline has already
+  // passed, so the outcome does not race the host's speed: Execute runs
+  // the shed gate before the operation-boundary budget check, and only
+  // a request the gate let through can come back DeadlineExceeded.
   governance.degraded.store(false);
-  QueryBudget budget(std::chrono::milliseconds(50));
+  QueryBudget budget(QueryBudget::Clock::now() -
+                     std::chrono::milliseconds(1));
   session->set_request_budget(&budget);
   auto governed = session->Execute(kPoison);
   session->set_request_budget(nullptr);
   ASSERT_FALSE(governed.ok());
   EXPECT_TRUE(governed.status().IsDeadlineExceeded())
       << governed.status().ToString();
+  EXPECT_EQ(governance.cancelled_shed.load(), 1u);
 }
 
 // The property test from the issue: a cancelled evaluation must leave

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/loose_db.h"
 #include "store/text_format.h"
 #include "util/failpoint.h"
 
@@ -136,6 +137,32 @@ TEST_F(PersistenceTest, LoadRejectsGarbage) {
   FactStore store;
   Status s = LoadSnapshot(Path("junk.snap"), &store, nullptr);
   EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+}
+
+// A corrupt entity count must not drive an allocation: the loader
+// bounds its pre-sizing by the bytes left in the file and reports the
+// truncation. Recover() is the path a follower installs a shipped
+// snapshot through, so it must refuse the same bytes.
+TEST_F(PersistenceTest, HugeEntityCountIsDataLossNotAllocation) {
+  std::string bytes("LSDSNAP2", 8);
+  const uint64_t generation = 1;
+  const uint32_t entity_count = 0xFFFFFFFFu;
+  bytes.append(reinterpret_cast<const char*>(&generation), 8);
+  bytes.append(reinterpret_cast<const char*>(&entity_count), 4);
+  bytes.append("\x00\x03\x00", 3);  // a kind byte, then a torn length
+  WriteAll(Path("huge.snap"), bytes);
+
+  FactStore store;
+  Status s;
+  ASSERT_NO_THROW(s = LoadSnapshot(Path("huge.snap"), &store, nullptr));
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+
+  const std::string prefix = Path("follower");
+  WriteAll(prefix + ".snap", bytes);
+  LooseDb db;
+  Status recovered;
+  ASSERT_NO_THROW(recovered = db.Recover(prefix));
+  EXPECT_EQ(recovered.code(), StatusCode::kDataLoss) << recovered.ToString();
 }
 
 TEST_F(PersistenceTest, SnapshotChecksumCatchesEveryByteFlip) {
@@ -359,6 +386,38 @@ TEST_F(PersistenceTest, WalToleratesTornFinalRecord) {
     ASSERT_TRUE(Wal::Replay(torn_base, &recovered, nullptr).ok());
     EXPECT_EQ(recovered.size(), 2u) << "chop at " << chop;
   }
+}
+
+TEST_F(PersistenceTest, WalRecordLengthPastSegmentEndIsRefused) {
+  // A record header promising more payload than the segment holds is
+  // refused before any payload allocation, then salvaged like a torn
+  // tail: the valid prefix survives and the damage is truncated away.
+  FactStore store;
+  Fact f1 = store.Assert("A", "R", "B");
+  const std::string segment = Segment(Path("len.wal"));
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(Path("len.wal")).ok());
+    ASSERT_TRUE(wal.AppendAssert(store, f1).ok());
+  }
+  const long first_record_end = std::filesystem::file_size(segment);
+  std::string bytes = ReadAll(segment);
+  const uint32_t len = 64u << 20, crc = 0;
+  bytes.append(reinterpret_cast<const char*>(&len), 4);
+  bytes.append(reinterpret_cast<const char*>(&crc), 4);
+  bytes.append("abc");
+  WriteAll(segment, bytes);
+
+  FactStore replayed;
+  RecoveryStats stats;
+  Status s = Wal::Replay(Path("len.wal"), &replayed, nullptr, &stats);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(stats.records_replayed, 1u);
+  EXPECT_TRUE(stats.tail_truncated);
+  EXPECT_NE(stats.detail.find("implausible record length"), std::string::npos)
+      << stats.detail;
+  EXPECT_EQ(static_cast<long>(std::filesystem::file_size(segment)),
+            first_record_end);
 }
 
 TEST_F(PersistenceTest, WalSalvagesValidPrefixOnMidFileCorruption) {
